@@ -45,12 +45,12 @@ use sevuldet_analysis::ProgramAnalysis;
 use sevuldet_dataset::{sard, SardConfig};
 use sevuldet_gadget::{build_gadget, find_special_tokens, GadgetKind};
 use sevuldet_query::{ArtifactStore, EntryStatus, QueryConfig, QueryEngine};
-use sevuldet_serve::{
-    registry::{MultiRegistry, RegistryError},
-    server, signal, ServeConfig,
-};
+use sevuldet_serve::registry::RegistryError;
+#[cfg(target_os = "linux")]
+use sevuldet_serve::{registry::MultiRegistry, signal};
 use std::path::PathBuf;
 use std::process::ExitCode;
+#[cfg(target_os = "linux")]
 use std::time::Duration;
 
 /// A CLI failure, classified for its exit code.
@@ -142,7 +142,7 @@ fn main() -> ExitCode {
                 "  sevuldet scan <file-or-dir> [...] --model [NAME=]<model> [--model NAME=<model> ...] [--model-name NAME|ensemble:a,b] [--explain] [--top N] [--jobs N] [--json] [--precision f64|f32|int8] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--profile] [--trace-out FILE]"
             );
             eprintln!(
-                "  sevuldet serve --model [NAME=]<model> [--model NAME=<model> ...] [--split NAME=W,NAME=W] [--addr host:port] [--workers N] [--max-batch N] [--queue-cap N] [--deadline-ms N] [--jobs N] [--precision f64|f32|int8] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--io threads|eventloop] [--shard i/N] [--max-conns N] [--header-deadline-ms N] [--degraded-queue-pct N]"
+                "  sevuldet serve --model [NAME=]<model> [--model NAME=<model> ...] [--split NAME=W,NAME=W] [--addr host:port] [--workers N] [--max-batch N] [--queue-cap N] [--deadline-ms N] [--jobs N] [--precision f64|f32|int8] [--cache-dir DIR | --no-cache] [--cache-max-bytes N] [--shard i/N] [--max-conns N] [--header-deadline-ms N] [--degraded-queue-pct N]"
             );
             eprintln!(
                 "  sevuldet balance --shards a:p1,b:p2,... [--addr host:port] [--health-interval-ms N] [--fail-after N] [--recover-after N] [--forwarders N] [--connect-timeout-ms N] [--backend-timeout-ms N] [--max-conns N] [--header-deadline-ms N] [--hedge-after ms|pXX] [--shed-inflight N] [--retry-backoff-ms N]"
@@ -273,10 +273,6 @@ const FLAGS: &[FlagSpec] = &[
     },
     FlagSpec {
         name: "--cache-max-bytes",
-        takes_value: true,
-    },
-    FlagSpec {
-        name: "--io",
         takes_value: true,
     },
     FlagSpec {
@@ -416,6 +412,7 @@ fn model_specs(args: &[String]) -> Result<Vec<(String, String)>, CliError> {
 }
 
 /// Parses `--split name=weight,name=weight` A/B traffic weights.
+#[cfg(target_os = "linux")]
 fn split_flag(args: &[String]) -> Result<Option<Vec<(String, u32)>>, CliError> {
     let Some(v) = flag(args, "--split") else {
         return Ok(None);
@@ -900,20 +897,8 @@ fn print_human_report(file: &str, report: &ScanReport, detector: &mut Detector, 
     );
 }
 
-/// Parses `--io threads|eventloop` (default: the platform default — the
-/// epoll event loop on Linux, threads elsewhere).
-fn io_model_flag(args: &[String]) -> Result<server::IoModel, CliError> {
-    match flag(args, "--io").as_deref() {
-        None => Ok(server::IoModel::default()),
-        Some("threads") => Ok(server::IoModel::Threads),
-        Some("eventloop") => Ok(server::IoModel::EventLoop),
-        Some(other) => Err(CliError::Usage(format!(
-            "bad --io `{other}` (expected threads or eventloop)"
-        ))),
-    }
-}
-
 /// Parses `--shard i/N` fleet identity (0-based index, total count).
+#[cfg(target_os = "linux")]
 fn shard_flag(args: &[String]) -> Result<Option<(u32, u32)>, CliError> {
     let Some(v) = flag(args, "--shard") else {
         return Ok(None);
@@ -928,7 +913,9 @@ fn shard_flag(args: &[String]) -> Result<Option<(u32, u32)>, CliError> {
     Ok(Some((i, n)))
 }
 
+#[cfg(target_os = "linux")]
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    use sevuldet_serve::{server, ServeConfig};
     check_args(args).map_err(CliError::Usage)?;
     let specs = model_specs(args)?;
     if specs.is_empty() {
@@ -938,17 +925,17 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     let defaults = ServeConfig::default();
     let cfg = ServeConfig {
-        addr: flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".to_string()),
-        workers: parse_flag(args, "--workers", 2).map_err(CliError::Usage)?,
-        max_batch: parse_flag(args, "--max-batch", 8).map_err(CliError::Usage)?,
-        queue_cap: parse_flag(args, "--queue-cap", 64).map_err(CliError::Usage)?,
+        addr: flag(args, "--addr").unwrap_or_else(|| defaults.addr.clone()),
+        workers: parse_flag(args, "--workers", defaults.workers).map_err(CliError::Usage)?,
+        max_batch: parse_flag(args, "--max-batch", defaults.max_batch).map_err(CliError::Usage)?,
+        queue_cap: parse_flag(args, "--queue-cap", defaults.queue_cap).map_err(CliError::Usage)?,
         inner_jobs: parse_flag(args, "--jobs", 1).map_err(CliError::Usage)?,
         deadline: Duration::from_millis(
-            parse_flag(args, "--deadline-ms", 10_000).map_err(CliError::Usage)?,
+            parse_flag(args, "--deadline-ms", defaults.deadline.as_millis() as u64)
+                .map_err(CliError::Usage)?,
         ),
         cache_dir: cache_dir_setting(args)?,
         cache_max_bytes: parse_flag(args, "--cache-max-bytes", 0).map_err(CliError::Usage)?,
-        io_model: io_model_flag(args)?,
         shard: shard_flag(args)?,
         max_connections: parse_flag(args, "--max-conns", defaults.max_connections)
             .map_err(CliError::Usage)?,
@@ -992,6 +979,13 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     handle.shutdown();
     eprintln!("drained; bye");
     Ok(())
+}
+
+#[cfg(not(target_os = "linux"))]
+fn cmd_serve(_args: &[String]) -> Result<(), CliError> {
+    Err(CliError::Usage(
+        "serve requires Linux (the server fronts clients with the epoll event loop)".into(),
+    ))
 }
 
 /// `sevuldet balance --shards a,b,c` — the fleet front end: consistent-hash

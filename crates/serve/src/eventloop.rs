@@ -1,12 +1,13 @@
 //! The epoll event loop: non-blocking accept/read/write with one
-//! connection state machine per socket, replacing thread-per-connection as
-//! the Linux serving path. One loop thread owns every connection — header
-//! parsing, body accumulation, response write-out with partial-write
-//! resumption — and hands complete requests to a [`Handler`]. Handlers
-//! answer either synchronously (metrics, health, protocol errors) or
-//! asynchronously through a [`Completer`] (scan jobs scored by the batch
-//! workers, proxied fleet requests), which posts the finished response back
-//! to the loop over a channel plus a wakeup byte on a socketpair.
+//! connection state machine per socket, the only connection front end of
+//! both the server and the balancer. One loop thread owns every
+//! connection — header parsing, body accumulation, response write-out with
+//! partial-write resumption — and hands complete requests to a
+//! [`Handler`]. Handlers answer either synchronously (metrics, health,
+//! protocol errors) or asynchronously through a [`Completer`] (scan jobs
+//! scored by the batch workers, proxied fleet requests), which posts the
+//! finished response back to the loop over a channel plus a wakeup byte on
+//! a socketpair.
 //!
 //! Why this shape: a blocking server pins one OS thread per open socket, so
 //! 10k idle keep-alive connections cost 10k stacks and a scheduler meltdown.
@@ -64,13 +65,12 @@ const RBUF_CAP: usize = MAX_HEAD_BYTES + MAX_BODY_BYTES + 16 * 1024;
 const TICK_MS: i32 = 50;
 /// How long a draining loop keeps *idle* keep-alive connections around so
 /// an already-connected client can get one final explicit answer (a `503`
-/// with `Connection: close`) instead of a silent EOF — matching what the
-/// blocking path's still-attached handler threads do. Past the linger,
-/// idle connections are closed; in-flight work gets the full drain grace.
+/// with `Connection: close`) instead of a silent EOF. Past the linger, idle
+/// connections are closed; in-flight work gets the full drain grace.
 const DRAIN_IDLE_LINGER: Duration = Duration::from_secs(1);
 
-/// A response a handler produces (or relays), written to the client with
-/// the same framing helper the blocking path uses.
+/// A response a handler produces (or relays), framed for the client by
+/// [`write_response_with_headers`].
 #[derive(Debug)]
 pub(crate) struct Response {
     /// HTTP status code.
@@ -568,9 +568,9 @@ impl Loop {
         self.update_interest(token);
     }
 
-    /// Serializes a response onto the connection's write buffer (trace id
-    /// and `Connection: close` handling identical to the blocking path) and
-    /// starts flushing it.
+    /// Serializes a response onto the connection's write buffer (with a
+    /// fresh `X-Trace-Id`, and `Connection: close` when closing) and starts
+    /// flushing it.
     fn enqueue_response(&mut self, token: u64, resp: Response, close: bool, reason: CloseReason) {
         self.handler.count_response(resp.status);
         let trace_id = sevuldet::trace::next_trace_id();

@@ -1,19 +1,15 @@
 //! A deliberately small HTTP/1.1 layer over `std::io` — request parsing and
 //! response writing, nothing else. The server speaks plain HTTP/1.1 with
 //! `Content-Length` bodies and keep-alive; chunked transfer encoding is
-//! rejected with `501`. Built on std only: the container this repository
-//! grows in has no network access, so no HTTP crate can be pulled in.
+//! rejected with `501`. Built on std only, so the server needs no HTTP
+//! crate.
 //!
-//! Two parsing front ends share the same validation rules:
-//!
-//! * [`read_request`] — blocking, over a `BufRead` (the thread-per-connection
-//!   path);
-//! * [`parse_request_buffer`] — incremental, over an in-memory byte buffer
-//!   that a non-blocking event loop grows as bytes arrive; it answers
-//!   "need more bytes" instead of blocking, so one slow client costs a
-//!   buffer, not a thread.
+//! The one parser, [`parse_request_buffer`], is incremental: it works over
+//! an in-memory byte buffer that the non-blocking event loop grows as bytes
+//! arrive, and answers "need more bytes" instead of blocking, so one slow
+//! client costs a buffer, not a thread.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Upper bound on the request head (request line + headers). Exceeding it
 /// answers `431 Request Header Fields Too Large`.
@@ -53,15 +49,6 @@ impl Request {
     }
 }
 
-/// Outcome of reading one request off a connection.
-#[derive(Debug)]
-pub enum ReadOutcome {
-    /// A complete request.
-    Request(Request),
-    /// The peer closed the connection cleanly before sending anything.
-    Closed,
-}
-
 /// A protocol-level failure with the status code to answer it with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpError {
@@ -78,56 +65,6 @@ impl HttpError {
             msg: msg.into(),
         }
     }
-}
-
-/// Reads one request. Read timeouts configured on the underlying socket
-/// surface as `408`; oversized heads as `431` and oversized bodies as `413`.
-///
-/// # Errors
-///
-/// [`HttpError`] describes malformed or unsupported requests; the caller
-/// should answer with `e.status` and close the connection.
-pub fn read_request(reader: &mut impl BufRead) -> Result<ReadOutcome, HttpError> {
-    let mut head = Vec::new();
-    let mut line = Vec::new();
-    // Request line.
-    match read_crlf_line(reader, &mut line, MAX_HEAD_BYTES)? {
-        0 => return Ok(ReadOutcome::Closed),
-        _ => head.extend_from_slice(&line),
-    }
-    let request_line = String::from_utf8(line.clone())
-        .map_err(|_| HttpError::new(400, "non-UTF-8 request line"))?;
-    let (method, path) = parse_request_line(&request_line)?;
-    // Headers.
-    let mut headers = Vec::new();
-    loop {
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(HttpError::new(431, "request head too large"));
-        }
-        let n = read_crlf_line(reader, &mut line, MAX_HEAD_BYTES)?;
-        if n == 0 {
-            return Err(HttpError::new(400, "connection closed mid-headers"));
-        }
-        if line.is_empty() {
-            break; // end of head
-        }
-        head.extend_from_slice(&line);
-        let text =
-            String::from_utf8(line.clone()).map_err(|_| HttpError::new(400, "non-UTF-8 header"))?;
-        headers.push(parse_header_line(&text)?);
-    }
-    let req = Request {
-        method,
-        path,
-        headers,
-        body: Vec::new(),
-    };
-    let len = body_length(&req)?;
-    let mut body = vec![0u8; len];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| io_error(e, "reading body"))?;
-    Ok(ReadOutcome::Request(Request { body, ..req }))
 }
 
 /// Splits `GET /path HTTP/1.1` into method and path, enforcing the version.
@@ -200,18 +137,17 @@ pub enum ParseStatus {
     },
 }
 
-/// Attempts to parse one complete request from the front of `buf` — the
-/// event-loop counterpart of [`read_request`], sharing its validation rules.
-/// Never blocks: an incomplete head or body answers
-/// [`ParseStatus::NeedMore`].
+/// Attempts to parse one complete request from the front of `buf`. Never
+/// blocks: an incomplete head or body answers [`ParseStatus::NeedMore`].
 ///
 /// # Errors
 ///
-/// As [`read_request`], except timeouts (the caller owns the clock): `431`
-/// when the head outgrows [`MAX_HEAD_BYTES`] (even before its end is seen,
-/// so a slowloris client dribbling header bytes is cut off at the cap),
-/// `413` for an oversized declared body, `400`/`501` for malformed or
-/// unsupported framing.
+/// [`HttpError`] describes malformed or unsupported requests; the caller
+/// answers with `e.status` and closes the connection. Timeouts are the
+/// caller's (it owns the clock). `431` when the head outgrows
+/// [`MAX_HEAD_BYTES`] (even before its end is seen, so a slowloris client
+/// dribbling header bytes is cut off at the cap), `413` for an oversized
+/// declared body, `400`/`501` for malformed or unsupported framing.
 pub fn parse_request_buffer(buf: &[u8]) -> Result<ParseStatus, HttpError> {
     let Some(body_start) = find_head_end(buf) else {
         // No blank line yet. A head that can no longer fit the cap is dead
@@ -256,8 +192,8 @@ pub fn parse_request_buffer(buf: &[u8]) -> Result<ParseStatus, HttpError> {
 }
 
 /// Index just past the head-terminating blank line (`\r\n\r\n`, with a
-/// bare-`\n` fallback matching [`read_crlf_line`]'s tolerance), or `None`
-/// while the head is still incomplete.
+/// bare-`\n\n` fallback for clients that end lines with `\n` alone), or
+/// `None` while the head is still incomplete.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4);
     let lf = buf.windows(2).position(|w| w == b"\n\n").map(|i| i + 2);
@@ -285,65 +221,6 @@ fn reject_conflicting_duplicates(req: &Request, name: &str) -> Result<(), HttpEr
     Ok(())
 }
 
-/// Reads one `\r\n`- (or `\n`-) terminated line into `line` (terminator
-/// stripped), returning the raw byte count read (0 = EOF).
-fn read_crlf_line(
-    reader: &mut impl BufRead,
-    line: &mut Vec<u8>,
-    cap: usize,
-) -> Result<usize, HttpError> {
-    line.clear();
-    let mut raw = Vec::new();
-    let n = read_until_limited(reader, b'\n', &mut raw, cap)?;
-    while raw.last().is_some_and(|b| *b == b'\n' || *b == b'\r') {
-        raw.pop();
-    }
-    *line = raw;
-    Ok(n)
-}
-
-/// `read_until` with a size cap, mapping IO errors to HTTP ones.
-fn read_until_limited(
-    reader: &mut impl BufRead,
-    delim: u8,
-    buf: &mut Vec<u8>,
-    cap: usize,
-) -> Result<usize, HttpError> {
-    let mut total = 0usize;
-    loop {
-        let available = match reader.fill_buf() {
-            Ok(a) => a,
-            Err(e) => return Err(io_error(e, "reading request")),
-        };
-        if available.is_empty() {
-            return Ok(total); // EOF
-        }
-        let (used, done) = match available.iter().position(|&b| b == delim) {
-            Some(i) => (i + 1, true),
-            None => (available.len(), false),
-        };
-        buf.extend_from_slice(&available[..used]);
-        reader.consume(used);
-        total += used;
-        if total > cap {
-            return Err(HttpError::new(431, "request head too large"));
-        }
-        if done {
-            return Ok(total);
-        }
-    }
-}
-
-fn io_error(e: std::io::Error, what: &str) -> HttpError {
-    use std::io::ErrorKind;
-    match e.kind() {
-        ErrorKind::WouldBlock | ErrorKind::TimedOut => {
-            HttpError::new(408, format!("timeout {what}"))
-        }
-        _ => HttpError::new(400, format!("{what}: {e}")),
-    }
-}
-
 /// The reason phrase for the status codes this server emits.
 pub fn reason(status: u16) -> &'static str {
     match status {
@@ -365,23 +242,9 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete response. `close` adds `Connection: close`.
-///
-/// # Errors
-///
-/// Propagates socket write failures (the caller drops the connection).
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-) -> std::io::Result<()> {
-    write_response_with_headers(stream, status, content_type, body, &[], close)
-}
-
-/// [`write_response`] with extra response headers (e.g. `X-Trace-Id`).
-/// Header names and values must already be valid HTTP header text.
+/// Writes a complete response with extra response headers (e.g.
+/// `X-Trace-Id`); `close` adds `Connection: close`. Header names and values
+/// must already be valid HTTP header text.
 ///
 /// # Errors
 ///
@@ -415,101 +278,23 @@ pub fn write_response_with_headers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(raw: &str) -> Result<ReadOutcome, HttpError> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+    /// Parses a buffer expected to hold exactly one complete request.
+    fn parse(raw: &[u8]) -> Result<Request, HttpError> {
+        match parse_request_buffer(raw)? {
+            ParseStatus::Complete { req, consumed } => {
+                assert_eq!(consumed, raw.len(), "trailing bytes left unparsed");
+                Ok(req)
+            }
+            ParseStatus::NeedMore => panic!("complete request reported NeedMore"),
+        }
     }
 
+    /// Every byte-wise prefix answers `NeedMore` (cut 0 is the empty
+    /// buffer); the complete request parses and leaves a pipelined
+    /// remainder unconsumed.
     #[test]
-    fn parses_post_with_body() {
-        let raw = "POST /scan HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello";
-        let ReadOutcome::Request(req) = parse(raw).unwrap() else {
-            panic!("expected request");
-        };
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/scan");
-        assert_eq!(req.header("host"), Some("x"));
-        assert_eq!(req.header("HOST"), Some("x"));
-        assert_eq!(req.body, b"hello");
-        assert!(req.keep_alive());
-    }
-
-    #[test]
-    fn connection_close_is_honored() {
-        let raw = "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let ReadOutcome::Request(req) = parse(raw).unwrap() else {
-            panic!("expected request");
-        };
-        assert!(!req.keep_alive());
-        assert!(req.body.is_empty());
-    }
-
-    #[test]
-    fn clean_eof_reports_closed() {
-        assert!(matches!(parse("").unwrap(), ReadOutcome::Closed));
-    }
-
-    #[test]
-    fn malformed_requests_get_400s() {
-        assert_eq!(parse("GARBAGE\r\n\r\n").unwrap_err().status, 400);
-        assert_eq!(parse("GET / SPDY/3\r\n\r\n").unwrap_err().status, 400);
-        assert_eq!(
-            parse("POST / HTTP/1.1\r\nContent-Length: zebra\r\n\r\n")
-                .unwrap_err()
-                .status,
-            400
-        );
-        assert_eq!(
-            parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
-                .unwrap_err()
-                .status,
-            501
-        );
-    }
-
-    #[test]
-    fn conflicting_framing_duplicates_get_400() {
-        // Smuggling shape: a first-match parser reads 5 body bytes, a
-        // last-match proxy would read 9999 — must die with 400.
-        let raw = "POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 9999\r\n\r\nhello";
-        let err = parse(raw).unwrap_err();
-        assert_eq!(err.status, 400);
-        assert!(err.msg.contains("content-length"));
-        let raw = "POST / HTTP/1.1\r\nTransfer-Encoding: identity\r\n\
-                   Transfer-Encoding: chunked\r\n\r\n";
-        let err = parse(raw).unwrap_err();
-        assert_eq!(err.status, 400, "conflict beats the 501 chunked answer");
-        assert!(err.msg.contains("transfer-encoding"));
-    }
-
-    #[test]
-    fn identical_framing_duplicates_are_tolerated() {
-        let raw = "POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
-        let ReadOutcome::Request(req) = parse(raw).unwrap() else {
-            panic!("expected request");
-        };
-        assert_eq!(req.body, b"hello");
-    }
-
-    #[test]
-    fn oversized_heads_get_431_and_bodies_413() {
-        let long_header = format!(
-            "GET / HTTP/1.1\r\nX-Big: {}\r\n\r\n",
-            "a".repeat(MAX_HEAD_BYTES + 1)
-        );
-        assert_eq!(parse(&long_header).unwrap_err().status, 431);
-        let big_body = format!(
-            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
-        );
-        assert_eq!(parse(&big_body).unwrap_err().status, 413);
-    }
-
-    /// The buffer parser agrees with the blocking parser on complete
-    /// requests and answers `NeedMore` at every byte-wise prefix.
-    #[test]
-    fn buffer_parser_is_incremental_and_agrees_with_blocking() {
+    fn buffer_parser_is_incremental() {
         let raw = b"POST /scan HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhelloPOST";
         let complete_len = raw.len() - 4; // the trailing "POST" is pipelined
         for cut in 0..complete_len {
@@ -525,52 +310,100 @@ mod tests {
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/scan");
         assert_eq!(req.header("host"), Some("x"));
+        assert_eq!(req.header("HOST"), Some("x"));
         assert_eq!(req.body, b"hello");
+        assert!(req.keep_alive());
     }
 
     #[test]
-    fn buffer_parser_applies_the_same_caps_and_framing_rules() {
-        // Head cap bites even before the head terminator arrives.
+    fn connection_close_turns_keep_alive_off() {
+        let req = parse(b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        assert!(!req.keep_alive());
+        assert!(req.body.is_empty());
+    }
+
+    #[test]
+    fn bare_lf_heads_are_tolerated() {
+        let req = parse(b"GET /healthz HTTP/1.1\nHost: y\n\n").unwrap();
+        assert_eq!(req.path, "/healthz");
+        assert_eq!(req.header("host"), Some("y"));
+    }
+
+    #[test]
+    fn malformed_requests_get_400s_and_chunked_501() {
+        assert_eq!(parse(b"GARBAGE\r\n\r\n").unwrap_err().status, 400);
+        assert_eq!(parse(b"GET / SPDY/3\r\n\r\n").unwrap_err().status, 400);
+        assert_eq!(
+            parse(b"POST / HTTP/1.1\r\nContent-Length: zebra\r\n\r\n")
+                .unwrap_err()
+                .status,
+            400
+        );
+        assert_eq!(
+            parse(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
+                .unwrap_err()
+                .status,
+            501
+        );
+    }
+
+    #[test]
+    fn conflicting_framing_duplicates_get_400() {
+        // Smuggling shape: a first-match parser reads 5 body bytes, a
+        // last-match proxy would read 9999 — must die with 400.
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 9999\r\n\r\nhello";
+        let err = parse(raw).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(err.msg.contains("content-length"));
+        let raw = b"POST / HTTP/1.1\r\nTransfer-Encoding: identity\r\n\
+                    Transfer-Encoding: chunked\r\n\r\n";
+        let err = parse(raw).unwrap_err();
+        assert_eq!(err.status, 400, "conflict beats the 501 chunked answer");
+        assert!(err.msg.contains("transfer-encoding"));
+    }
+
+    #[test]
+    fn identical_framing_duplicates_are_tolerated() {
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
+        assert_eq!(parse(raw).unwrap().body, b"hello");
+    }
+
+    #[test]
+    fn oversized_heads_get_431_and_bodies_413() {
+        // A complete head over the cap.
+        let long_header = format!(
+            "GET / HTTP/1.1\r\nX-Big: {}\r\n\r\n",
+            "a".repeat(MAX_HEAD_BYTES + 1)
+        );
+        assert_eq!(parse(long_header.as_bytes()).unwrap_err().status, 431);
+        // The cap bites even before the head terminator arrives.
         let mut dribble = b"GET / HTTP/1.1\r\nX-Big: ".to_vec();
         dribble.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 1));
         assert_eq!(parse_request_buffer(&dribble).unwrap_err().status, 431);
         // Declared-oversized bodies die before any body byte arrives.
-        let big = format!(
+        let big_body = format!(
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert_eq!(
-            parse_request_buffer(big.as_bytes()).unwrap_err().status,
-            413
-        );
-        // Conflicting framing duplicates are rejected identically.
-        let smuggle = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 9\r\n\r\nhello";
-        assert_eq!(parse_request_buffer(smuggle).unwrap_err().status, 400);
-        let chunked = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
-        assert_eq!(parse_request_buffer(chunked).unwrap_err().status, 501);
-        // Bare-LF heads are tolerated, like the blocking reader.
-        let Ok(ParseStatus::Complete { req, .. }) =
-            parse_request_buffer(b"GET /healthz HTTP/1.1\nHost: y\n\n")
-        else {
-            panic!("bare-LF request did not parse");
-        };
-        assert_eq!(req.path, "/healthz");
+        assert_eq!(parse(big_body.as_bytes()).unwrap_err().status, 413);
     }
 
     #[test]
     fn responses_have_correct_framing() {
         let mut out = Vec::new();
-        write_response(
+        write_response_with_headers(
             &mut out,
             429,
             "application/json",
             b"{\"error\":\"full\"}",
+            &[("X-Trace-Id", "abc-1")],
             true,
         )
         .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Content-Length: 16\r\n"));
+        assert!(text.contains("X-Trace-Id: abc-1\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"error\":\"full\"}"));
     }

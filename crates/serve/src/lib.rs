@@ -19,16 +19,20 @@
 //!   the model they started with), with weighted A/B splits and per-request
 //!   selection including `ensemble:a,b,c` voting;
 //! * [`metrics`] — Prometheus counters/gauges/histograms for `GET /metrics`;
-//! * [`server`] — routing, backpressure (429 on a full queue), per-request
-//!   deadlines (504), and graceful drain, behind either I/O model;
+//! * [`server`] (Linux) — routing, backpressure (429 on a full queue),
+//!   per-request deadlines (504), and graceful drain;
 //! * [`sys`] (Linux) — std-only `epoll`/`setsockopt`/`setrlimit` wrappers;
-//! * `eventloop` (Linux, internal) — the epoll event loop: 10k concurrent
+//! * `eventloop` (Linux, internal) — the epoll event loop that owns every
+//!   connection for both the server and the balancer: 10k concurrent
 //!   connections on one thread, with slow-client hardening (408/413/431),
 //!   keep-alive, pipelining, and partial-write resumption;
 //! * [`balancer`] (Linux) — the fleet front end: round-robin plus
 //!   consistent-hash routing of `/scan` across shard processes, with
 //!   health-check-driven ejection;
 //! * [`signal`] — SIGINT/SIGTERM → graceful-shutdown flag, std-only.
+//!
+//! Serving and balancing require Linux (epoll); elsewhere the crate still
+//! builds its parser, queue, registry, and metrics.
 //!
 //! ```no_run
 //! use sevuldet_serve::{registry::ModelRegistry, server, server::ServeConfig};
@@ -48,6 +52,7 @@ pub(crate) mod eventloop;
 pub mod http;
 pub mod metrics;
 pub mod registry;
+#[cfg(target_os = "linux")]
 pub mod server;
 pub mod signal;
 #[cfg(target_os = "linux")]
@@ -56,4 +61,5 @@ pub mod sys;
 pub use batch::{JobOutcome, JobQueue, ScanJob, SubmitError};
 pub use metrics::Metrics;
 pub use registry::{LoadedModel, ModelChoice, ModelRegistry, MultiRegistry};
-pub use server::{start, IoModel, ServeConfig, ServerHandle};
+#[cfg(target_os = "linux")]
+pub use server::{start, ServeConfig, ServerHandle};

@@ -6,8 +6,8 @@
 //!
 //! No `libc` crate: like [`crate::signal`], these are `extern "C"`
 //! declarations against the C runtime Rust already links on Linux. The
-//! module only exists on `target_os = "linux"`; other platforms fall back
-//! to the thread-per-connection serving path, which needs none of this.
+//! module only exists on `target_os = "linux"`, which is why serving and
+//! balancing are Linux-only.
 
 use std::io;
 use std::os::fd::RawFd;

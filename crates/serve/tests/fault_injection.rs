@@ -255,5 +255,16 @@ fn cli_failures_exit_with_typed_codes() {
         Some(5),
         "serve on an unbindable address"
     );
+    // `--io` is not a flag: a usage error (2), caught before the bind that
+    // would otherwise fail with 5.
+    let io_flag = format!(
+        "serve --model {} --addr 999.999.999.999:0 --io threads",
+        model.display()
+    );
+    assert_eq!(
+        code(&io_flag.split(' ').collect::<Vec<_>>()),
+        Some(2),
+        "serve --io is an unknown flag"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -97,8 +97,6 @@ impl ShardProc {
             addr,
             "--workers",
             "1",
-            "--io",
-            "eventloop",
         ])
         .stdout(Stdio::null())
         .stderr(Stdio::null());

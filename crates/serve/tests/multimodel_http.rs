@@ -16,6 +16,7 @@
 //! * `explain` on the f32/int8 tiers matches the f64 reference heatmap
 //!   instead of coming back silently empty, and a model with no attention
 //!   reports `explain_unavailable`.
+#![cfg(target_os = "linux")]
 
 use sevuldet::{save_detector, sha256_hex, Detector, GadgetSpec, Json, ModelKind, TrainConfig};
 use sevuldet_dataset::{sard, SardConfig};

@@ -13,6 +13,7 @@
 //! Poison inputs are simulated with the `worker_forward` failpoint
 //! (`panic@NAME` fires only when the batch contains a request with that
 //! name), so no real model-crashing input is needed.
+#![cfg(target_os = "linux")]
 
 use sevuldet::integrity;
 use sevuldet::{

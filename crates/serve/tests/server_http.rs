@@ -9,9 +9,13 @@
 //! * `POST /reload` swaps models without dropping in-flight requests;
 //! * a full queue answers 429 instead of blocking;
 //! * expired deadlines answer 504;
-//! * graceful shutdown drains queued jobs before the workers exit.
+//! * graceful shutdown drains queued jobs before the workers exit;
+//! * every route and error class answers with exact, pinned bytes.
+#![cfg(target_os = "linux")]
 
-use sevuldet::{save_detector, score_source, Detector, GadgetSpec, Json, ModelKind, TrainConfig};
+use sevuldet::{
+    error_json, save_detector, score_source, Detector, GadgetSpec, Json, ModelKind, TrainConfig,
+};
 use sevuldet_dataset::{sard, SardConfig};
 use sevuldet_serve::registry::ModelRegistry;
 use sevuldet_serve::server::{start, ServeConfig, ServerHandle};
@@ -324,11 +328,10 @@ fn full_queue_answers_429_not_blocking() {
     );
     let addr = handle.addr();
 
-    // Establish every connection first (each conn thread parks in
-    // read_request), then fire all requests at once. The submissions land
-    // within one 400ms batch window, so the single slow worker can absorb
-    // at most one job plus the one queue slot — the rest must bounce with
-    // 429 immediately rather than block.
+    // Establish every connection first, then fire all requests at once.
+    // The submissions land within one 400ms batch window, so the single
+    // slow worker can absorb at most one job plus the one queue slot — the
+    // rest must bounce with 429 immediately rather than block.
     let body = scan_body(CLEAN, "c");
     let req = format!(
         "POST /scan HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
@@ -341,7 +344,7 @@ fn full_queue_answers_429_not_blocking() {
             s
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(200)); // conn threads parked
+    std::thread::sleep(Duration::from_millis(200)); // connections accepted
     for s in &mut streams {
         s.write_all(req.as_bytes()).expect("send");
     }
@@ -431,34 +434,122 @@ fn graceful_shutdown_drains_queued_jobs() {
     }
 }
 
+/// Every route and error class answers with exact, pinned bytes: scan
+/// reports match the library path the CLI prints with `--json`, parse
+/// failures match `error_json`, and the protocol errors are literals.
 #[test]
 fn malformed_requests_get_structured_errors() {
     let (handle, _path) = serve("malformed", test_config());
     let addr = handle.addr();
+    let det = detector(42);
+    let report = |source: &str, name: &str| {
+        score_source(&det, source, 1)
+            .expect("scans")
+            .to_json(name)
+            .to_string()
+    };
+    let bad_source = "int main( {{{ oops";
+    let parse_error = error_json(
+        "bad.c",
+        &score_source(&det, bad_source, 1).expect_err("does not parse"),
+    )
+    .to_string();
 
-    let (status, body) = request(addr, "POST", "/scan", "{not json", "");
-    assert_eq!(status, 400);
-    assert!(body.contains("invalid JSON"), "{body}");
-
-    let (status, body) = request(addr, "POST", "/scan", "{\"nosource\":1}", "");
-    assert_eq!(status, 400);
-    assert!(body.contains("source"), "{body}");
-
-    let (status, body) = request(
-        addr,
-        "POST",
-        "/scan",
-        &scan_body("int main( {{{ not C", "bad.c"),
-        "",
-    );
-    assert_eq!(status, 422);
-    let doc = Json::parse(&body).expect("error body is JSON");
-    assert_eq!(doc.get("status").unwrap().as_str(), Some("error"));
-
-    let (status, _) = request(addr, "GET", "/nowhere", "", "");
-    assert_eq!(status, 404);
-    let (status, _) = request(addr, "GET", "/scan", "", "");
-    assert_eq!(status, 405);
+    let cases: Vec<(&str, &str, String, u16, String)> = vec![
+        (
+            "POST",
+            "/scan",
+            scan_body(LEAKY, "leaky.c"),
+            200,
+            report(LEAKY, "leaky.c"),
+        ),
+        (
+            "POST",
+            "/scan",
+            scan_body(CLEAN, "clean.c"),
+            200,
+            report(CLEAN, "clean.c"),
+        ),
+        (
+            "POST",
+            "/scan",
+            scan_body(bad_source, "bad.c"),
+            422,
+            parse_error,
+        ),
+        (
+            "POST",
+            "/scan",
+            "{not json".to_string(),
+            400,
+            r#"{"error":"invalid JSON: expected `\"` at byte 1"}"#.to_string(),
+        ),
+        (
+            "POST",
+            "/scan",
+            "{\"nosource\": 1}".to_string(),
+            400,
+            r#"{"error":"missing string field `source`"}"#.to_string(),
+        ),
+        (
+            "GET",
+            "/healthz",
+            String::new(),
+            200,
+            r#"{"status":"ok","model_version":1}"#.to_string(),
+        ),
+        (
+            "GET",
+            "/nowhere",
+            String::new(),
+            404,
+            r#"{"error":"not found"}"#.to_string(),
+        ),
+        (
+            "GET",
+            "/scan",
+            String::new(),
+            405,
+            r#"{"error":"method not allowed"}"#.to_string(),
+        ),
+        (
+            "PUT",
+            "/metrics",
+            String::new(),
+            405,
+            r#"{"error":"method not allowed"}"#.to_string(),
+        ),
+        (
+            "POST",
+            "/reload",
+            String::new(),
+            200,
+            r#"{"reloaded":true,"version":2}"#.to_string(),
+        ),
+        // Post-reload: version 2 is live, and the same file scores the same.
+        (
+            "GET",
+            "/healthz",
+            String::new(),
+            200,
+            r#"{"status":"ok","model_version":2}"#.to_string(),
+        ),
+        (
+            "POST",
+            "/scan",
+            scan_body(LEAKY, "leaky.c"),
+            200,
+            report(LEAKY, "leaky.c"),
+        ),
+    ];
+    for (method, path, body, want_status, want_body) in &cases {
+        let (status, got) = request(addr, method, path, body, "");
+        assert_eq!(
+            (status, &got),
+            (*want_status, want_body),
+            "{method} {path} answered unexpected bytes"
+        );
+    }
     handle.shutdown();
 }
 
