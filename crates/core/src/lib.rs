@@ -73,7 +73,9 @@ pub use persist::{
     load_detector, load_detector_file, save_detector, save_detector_file, DetectorFileError,
     PersistError,
 };
-pub use pipeline::{cross_validate, run_split, Detector, GadgetSpec, PrecisionError};
+pub use pipeline::{
+    cross_validate, forward_counters, run_split, Detector, GadgetSpec, PrecisionError,
+};
 pub use scan::{
     attach_explanations, combine_ensemble, error_json, prepare_source, score_prepared,
     score_prepared_mut, score_source, Finding, FindingStatus, MemberScore, PreparedGadget,

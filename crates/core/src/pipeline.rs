@@ -13,6 +13,8 @@ use sevuldet_dataset::ProgramSample;
 use sevuldet_embedding::Vocab;
 use sevuldet_gadget::{GadgetKind, SliceConfig};
 use sevuldet_nn::{sigmoid, FastCnn, Precision, SequenceClassifier};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How gadgets are produced for an experiment. VulDeePecker-style runs use
 /// data-dependence-only classic gadgets; SySeVR-style runs use classic
@@ -319,61 +321,81 @@ impl Detector {
     }
 
     /// Probabilities for a batch of token streams, computed on up to `jobs`
-    /// worker threads (`0` = all cores). The streams are encoded, sharded
-    /// round-robin across the workers, and each worker pushes its whole
-    /// shard through the model's batched entry point
-    /// ([`SequenceClassifier::forward_logits`]) on a private replica.
-    /// Outputs are in input order and identical for every `jobs` value and
-    /// for the unbatched [`Detector::predict`] — inference consumes no
-    /// randomness.
-    pub fn predict_batch(&self, streams: &[Vec<String>], jobs: usize) -> Vec<f64> {
-        if streams.is_empty() {
-            return Vec::new();
-        }
-        let ids: Vec<Vec<usize>> = streams.iter().map(|t| self.vocab.encode(t)).collect();
-        let jobs = crate::par::effective_jobs(jobs, ids.len());
-        let workers: Vec<usize> = (0..jobs).collect();
-        let per_worker: Vec<Vec<f64>> = parallel_map(&workers, jobs, |_, &w| {
-            let shard: Vec<Vec<usize>> = ids.iter().skip(w).step_by(jobs).cloned().collect();
-            let mut det = self.clone();
-            match &mut det.engine {
-                Some(eng) => shard
-                    .iter()
-                    .map(|s| sigmoid(eng.forward_logit(s)))
-                    .collect(),
-                None => det
-                    .model
-                    .forward_logits(&shard, false, &mut det.rng)
-                    .into_iter()
-                    .map(sigmoid)
-                    .collect(),
-            }
-        });
-        (0..ids.len())
-            .map(|i| per_worker[i % jobs][i / jobs])
-            .collect()
+    /// worker threads (`0` = all cores), one per input in input order.
+    ///
+    /// Each *distinct* stream is encoded and forwarded once, and its score
+    /// is fanned back out to every input that carries it. The distinct
+    /// streams are sharded round-robin across the workers, and each worker
+    /// pushes its whole shard through the model's batched entry point
+    /// ([`SequenceClassifier::forward_logits`]) on a private replica. Outputs are identical for every `jobs` value and for
+    /// the unbatched [`Detector::predict`]: inference consumes no
+    /// randomness and keeps no state between inputs, so a duplicate stream
+    /// would have scored bit for bit the same as its first copy.
+    ///
+    /// The result is empty for a non-empty batch only when the model broke
+    /// its one-logit-per-input contract; [`crate::score_prepared`] reports
+    /// that as [`crate::ScanError::Internal`].
+    pub fn predict_batch<S: AsRef<[String]>>(&self, streams: &[S], jobs: usize) -> Vec<f64> {
+        let batch = Distinct::new(streams);
+        let ids = batch.encode(&self.vocab);
+        batch.fan_out(self.forward_sharded(&ids, jobs))
     }
 
     /// Like [`Detector::predict_batch`], but for callers that own the
     /// detector: when the work runs on the calling thread (`jobs` clamps to
     /// one) the detector's own model computes the batch directly — no
     /// replica clone per call — so its kernel workspace stays warm across
-    /// calls. Multi-threaded runs delegate to `predict_batch` unchanged.
-    /// Outputs are bit-identical either way: inference consumes no
+    /// calls. Multi-threaded runs shard across replicas as `predict_batch`
+    /// does. Outputs are bit-identical either way: inference consumes no
     /// randomness, and the forward math is the same.
-    pub fn predict_batch_mut(&mut self, streams: &[Vec<String>], jobs: usize) -> Vec<f64> {
-        if streams.is_empty() {
+    pub fn predict_batch_mut<S: AsRef<[String]>>(
+        &mut self,
+        streams: &[S],
+        jobs: usize,
+    ) -> Vec<f64> {
+        let batch = Distinct::new(streams);
+        let ids = batch.encode(&self.vocab);
+        let scores = if crate::par::effective_jobs(jobs, ids.len()) > 1 {
+            self.forward_sharded(&ids, jobs)
+        } else {
+            self.forward_ids(&ids)
+        };
+        batch.fan_out(scores)
+    }
+
+    /// Probabilities for encoded streams on up to `jobs` private replicas,
+    /// in input order. Empty when a replica returned the wrong number of
+    /// scores for its shard.
+    fn forward_sharded(&self, ids: &[Vec<usize>], jobs: usize) -> Vec<f64> {
+        if ids.is_empty() {
             return Vec::new();
         }
-        if crate::par::effective_jobs(jobs, streams.len()) > 1 {
-            return self.predict_batch(streams, jobs);
+        let jobs = crate::par::effective_jobs(jobs, ids.len());
+        let workers: Vec<usize> = (0..jobs).collect();
+        let per_worker: Vec<Vec<f64>> = parallel_map(&workers, jobs, |_, &w| {
+            let shard: Vec<Vec<usize>> = ids.iter().skip(w).step_by(jobs).cloned().collect();
+            self.clone().forward_ids(&shard)
+        });
+        let whole = per_worker
+            .iter()
+            .enumerate()
+            .all(|(w, s)| s.len() == (ids.len() - w).div_ceil(jobs));
+        if !whole {
+            return Vec::new();
         }
-        let ids: Vec<Vec<usize>> = streams.iter().map(|t| self.vocab.encode(t)).collect();
+        (0..ids.len())
+            .map(|i| per_worker[i % jobs][i / jobs])
+            .collect()
+    }
+
+    /// Probabilities for encoded streams on this detector's own model (or
+    /// fast engine), in input order.
+    fn forward_ids(&mut self, ids: &[Vec<usize>]) -> Vec<f64> {
         match &mut self.engine {
             Some(eng) => ids.iter().map(|s| sigmoid(eng.forward_logit(s))).collect(),
             None => self
                 .model
-                .forward_logits(&ids, false, &mut self.rng)
+                .forward_logits(ids, false, &mut self.rng)
                 .into_iter()
                 .map(sigmoid)
                 .collect(),
@@ -406,7 +428,7 @@ impl Detector {
     /// corpus after training on SARD-sim), sharding inference across the
     /// configured `cfg.jobs` worker threads.
     pub fn evaluate_corpus(&mut self, corpus: &GadgetCorpus) -> Confusion {
-        let streams: Vec<Vec<String>> = corpus.items.iter().map(|i| i.tokens.clone()).collect();
+        let streams: Vec<&[String]> = corpus.items.iter().map(|i| i.tokens.as_slice()).collect();
         let probs = self.predict_batch(&streams, self.cfg.jobs);
         let mut confusion = Confusion::default();
         for (p, item) in probs.iter().zip(&corpus.items) {
@@ -418,6 +440,78 @@ impl Detector {
     /// The encoded form of a token stream under this detector's vocabulary.
     pub fn encode(&self, tokens: &[String]) -> Vec<usize> {
         self.vocab.encode(tokens)
+    }
+}
+
+static FORWARDS_COMPUTED: AtomicU64 = AtomicU64::new(0);
+static FORWARDS_REUSED: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide `(computed, reused)` gadget-score counts of the batch entry
+/// points ([`Detector::predict_batch`] and [`Detector::predict_batch_mut`]):
+/// `computed` streams went through a forward pass, `reused` ones took the
+/// score of an identical stream earlier in the same batch. Relaxed atomics,
+/// like [`crate::workspace_counters`]; `serve` exports them on `/metrics`.
+pub fn forward_counters() -> (u64, u64) {
+    (
+        FORWARDS_COMPUTED.load(Ordering::Relaxed),
+        FORWARDS_REUSED.load(Ordering::Relaxed),
+    )
+}
+
+/// The distinct token streams of a batch, in first-seen order, plus for
+/// every input the index of its distinct stream. Gadgets sliced from
+/// different special tokens of one function often normalize to the same
+/// stream; this is where the batch entry points collapse them so each is
+/// forwarded once. Building one bumps [`forward_counters`] and records the
+/// `scan.forwards` / `scan.forwards_reused` trace counters.
+pub(crate) struct Distinct<'a> {
+    streams: Vec<&'a [String]>,
+    slots: Vec<usize>,
+}
+
+impl<'a> Distinct<'a> {
+    pub(crate) fn new<S: AsRef<[String]>>(batch: &'a [S]) -> Distinct<'a> {
+        let mut index: HashMap<&'a [String], usize> = HashMap::with_capacity(batch.len());
+        let mut streams = Vec::new();
+        let slots = batch
+            .iter()
+            .map(|s| {
+                let s = s.as_ref();
+                *index.entry(s).or_insert_with(|| {
+                    streams.push(s);
+                    streams.len() - 1
+                })
+            })
+            .collect();
+        let distinct = Distinct { streams, slots };
+        let (computed, reused) = (distinct.len(), batch.len() - distinct.len());
+        FORWARDS_COMPUTED.fetch_add(computed as u64, Ordering::Relaxed);
+        FORWARDS_REUSED.fetch_add(reused as u64, Ordering::Relaxed);
+        sevuldet_trace::counter("scan.forwards", computed as f64);
+        sevuldet_trace::counter("scan.forwards_reused", reused as f64);
+        distinct
+    }
+
+    /// Number of distinct streams.
+    pub(crate) fn len(&self) -> usize {
+        self.streams.len()
+    }
+
+    /// The distinct streams encoded under `vocab`, in first-seen order.
+    fn encode(&self, vocab: &Vocab) -> Vec<Vec<usize>> {
+        self.streams.iter().map(|s| vocab.encode(s)).collect()
+    }
+
+    /// Fans one score per distinct stream back out to one per input, in
+    /// input order. Any other score count (a model that broke its
+    /// one-logit-per-input contract) yields an empty vector — never a
+    /// mis-aligned one — so a caller that checks the count against its
+    /// inputs reports the fault.
+    pub(crate) fn fan_out(&self, scores: Vec<f64>) -> Vec<f64> {
+        if scores.len() != self.streams.len() {
+            return Vec::new();
+        }
+        self.slots.iter().map(|&i| scores[i]).collect()
     }
 }
 

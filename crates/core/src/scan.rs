@@ -40,6 +40,7 @@ use crate::par::parallel_map;
 use crate::pipeline::{Detector, GadgetSpec};
 use sevuldet_analysis::ProgramAnalysis;
 use sevuldet_gadget::{build_gadget, find_special_tokens, Normalizer};
+use std::collections::HashMap;
 
 /// Why a source could not be scanned at all (as opposed to scanning clean).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -339,10 +340,11 @@ pub fn prepare_source(source: &str, jobs: usize) -> Result<PreparedSource, ScanE
 
 /// Scores a batch of prepared sources in **one** batched forward pass: the
 /// gadget streams of every source are concatenated, pushed through
-/// [`Detector::predict_batch`] together (sharded across `jobs` threads by
-/// `par`), and split back per source. Reports are in input order and
-/// identical for every `jobs` value and every way of batching the same
-/// sources — the invariant the serving layer's determinism test pins down.
+/// [`Detector::predict_batch`] together (which forwards each distinct stream
+/// once, sharded across `jobs` threads by `par`), and split back per source.
+/// Reports are in input order and identical for every `jobs` value and every
+/// way of batching the same sources — the invariant the serving layer's
+/// determinism test pins down.
 ///
 /// # Errors
 ///
@@ -355,8 +357,7 @@ pub fn score_prepared(
     jobs: usize,
 ) -> Result<Vec<ScanReport>, ScanError> {
     let _t = sevuldet_trace::span!("scan.score");
-    let streams = gadget_streams(prepared);
-    let scores = detector.predict_batch(&streams, jobs);
+    let scores = detector.predict_batch(&gadget_streams(prepared), jobs);
     assemble_reports(prepared, scores, detector.threshold())
 }
 
@@ -377,16 +378,17 @@ pub fn score_prepared_mut(
     jobs: usize,
 ) -> Result<Vec<ScanReport>, ScanError> {
     let _t = sevuldet_trace::span!("scan.score");
-    let streams = gadget_streams(prepared);
-    let scores = detector.predict_batch_mut(&streams, jobs);
+    let scores = detector.predict_batch_mut(&gadget_streams(prepared), jobs);
     assemble_reports(prepared, scores, detector.threshold())
 }
 
-/// Concatenates the gadget token streams of every prepared source, in order.
-fn gadget_streams(prepared: &[PreparedSource]) -> Vec<Vec<String>> {
+/// The gadget token streams of every prepared source, concatenated in
+/// order (borrowed: scoring never copies a token vector).
+fn gadget_streams(prepared: &[PreparedSource]) -> Vec<&[String]> {
     prepared
         .iter()
-        .flat_map(|p| p.gadgets.iter().map(|g| g.tokens.clone()))
+        .flat_map(|p| &p.gadgets)
+        .map(|g| g.tokens.as_slice())
         .collect()
 }
 
@@ -444,13 +446,27 @@ fn assemble_reports(
 pub const EXPLAIN_TOP_K: usize = 10;
 
 /// Attaches a Fig. 6 explanation to every finding of a report, running each
-/// gadget back through the detector's reference f64 path. Heavier than the
-/// scoring pass (one extra forward per gadget), which is why it is opt-in
-/// per request rather than always on.
+/// distinct gadget stream back through the detector's reference f64 path
+/// once and cloning the result to findings that share the stream (the
+/// reference forward is deterministic, so a duplicate would explain
+/// identically). Heavier than the scoring pass (one extra forward per
+/// distinct stream), which is why it is opt-in per request rather than
+/// always on.
 pub fn attach_explanations(detector: &mut Detector, report: &mut ScanReport) {
     let _t = sevuldet_trace::span!("scan.explain");
-    for f in &mut report.findings {
-        f.explain = Some(explain_tokens(detector, &f.tokens, EXPLAIN_TOP_K));
+    let mut by_stream: HashMap<&[String], Explanation> = HashMap::new();
+    let explanations: Vec<Explanation> = report
+        .findings
+        .iter()
+        .map(|f| {
+            by_stream
+                .entry(&f.tokens)
+                .or_insert_with(|| explain_tokens(detector, &f.tokens, EXPLAIN_TOP_K))
+                .clone()
+        })
+        .collect();
+    for (f, exp) in report.findings.iter_mut().zip(explanations) {
+        f.explain = Some(exp);
     }
 }
 
@@ -656,6 +672,47 @@ mod tests {
         let err = assemble_reports(&prepared, vec![0.5], 0.5).unwrap_err();
         assert!(matches!(err, ScanError::Internal(_)));
         assert!(err.to_string().contains("internal scan error"));
+    }
+
+    #[test]
+    fn distinct_score_count_mismatch_is_internal_error_not_panic() {
+        // The same source twice: every stream repeats, so the model sees
+        // fewer distinct streams than there are gadgets.
+        let one = prepare_source(LEAKY, 1).expect("parses");
+        let prepared = [one.clone(), one];
+        let streams = gadget_streams(&prepared);
+        let batch = crate::pipeline::Distinct::new(&streams);
+        let (gadgets, distinct) = (streams.len(), batch.len());
+        assert!(distinct < gadgets, "{distinct} distinct of {gadgets}");
+        // One score per distinct stream fans out to one per gadget.
+        let fanned = batch.fan_out(vec![0.5; distinct]);
+        assert!(assemble_reports(&prepared, fanned, 0.5).is_ok());
+        // Distinct scores that skipped the fan-out do not pass as per-gadget.
+        let err = assemble_reports(&prepared, vec![0.5; distinct], 0.5).unwrap_err();
+        assert!(matches!(err, ScanError::Internal(_)));
+        // A wrong count of distinct scores — including one that happens to
+        // equal the gadget count — never fans out to a mis-aligned vector.
+        for n in [0, distinct - 1, distinct + 1, gadgets] {
+            let fanned = batch.fan_out(vec![0.5; n]);
+            let err = assemble_reports(&prepared, fanned, 0.5).unwrap_err();
+            assert!(matches!(err, ScanError::Internal(_)), "n={n}");
+        }
+    }
+
+    #[test]
+    fn shared_explanations_match_per_finding_explain() {
+        let mut det = tiny_detector();
+        let one = prepare_source(LEAKY, 1).expect("parses");
+        let mut doubled = one.clone();
+        doubled.gadgets.extend(one.gadgets);
+        let mut report = score_prepared(&det, &[doubled], 1)
+            .expect("scores")
+            .remove(0);
+        attach_explanations(&mut det, &mut report);
+        for f in &report.findings {
+            let solo = explain_tokens(&mut det, &f.tokens, EXPLAIN_TOP_K);
+            assert_eq!(f.explain.as_ref(), Some(&solo));
+        }
     }
 
     #[test]

@@ -37,9 +37,10 @@
 
 use sevuldet::checkpoint::CheckpointSpec;
 use sevuldet::{
-    attach_explanations, combine_ensemble, load_detector_file, prepare_source, save_detector_file,
-    score_prepared_mut, top_tokens, CheckpointError, Detector, DetectorFileError, GadgetSpec, Json,
-    ModelKind, Precision, PreparedSource, ScanError, ScanReport, TrainConfig,
+    attach_explanations, combine_ensemble, forward_counters, load_detector_file, prepare_source,
+    save_detector_file, score_prepared_mut, top_tokens, CheckpointError, Detector,
+    DetectorFileError, GadgetSpec, Json, ModelKind, Precision, PreparedSource, RankedToken,
+    ScanError, ScanReport, TrainConfig,
 };
 use sevuldet_analysis::ProgramAnalysis;
 use sevuldet_dataset::{sard, SardConfig};
@@ -48,6 +49,7 @@ use sevuldet_query::{ArtifactStore, EntryStatus, QueryConfig, QueryEngine};
 use sevuldet_serve::registry::RegistryError;
 #[cfg(target_os = "linux")]
 use sevuldet_serve::{registry::MultiRegistry, signal};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 #[cfg(target_os = "linux")]
@@ -623,6 +625,18 @@ fn profile_cache_summary() {
     );
 }
 
+/// One-line scoring summary for `--profile`: gadget scores across every
+/// selected model, and how many came from a forward pass versus an
+/// identical stream already scored in the same batch.
+fn profile_score_summary(before: (u64, u64)) {
+    let (computed, reused) = forward_counters();
+    let (computed, reused) = (computed - before.0, reused - before.1);
+    eprintln!(
+        "score: {} gadget(s), {computed} forward(s), {reused} reused",
+        computed + reused
+    );
+}
+
 fn cmd_scan(args: &[String]) -> Result<(), CliError> {
     check_args(args).map_err(CliError::Usage)?;
     let (profile, trace_out) = trace_flags(args);
@@ -735,6 +749,7 @@ fn cmd_scan(args: &[String]) -> Result<(), CliError> {
     // this skips the per-call model clone entirely (same scores either
     // way). A typed internal scoring error marks every prepared file failed
     // instead of panicking the process.
+    let before = forward_counters();
     let mut scored: Vec<Vec<ScanReport>> = Vec::with_capacity(detectors.len());
     let mut scoring_err: Option<ScanError> = None;
     for (_, det) in detectors.iter_mut() {
@@ -745,6 +760,9 @@ fn cmd_scan(args: &[String]) -> Result<(), CliError> {
                 break;
             }
         }
+    }
+    if profile {
+        profile_score_summary(before);
     }
     if let Some(e) = scoring_err {
         let outcomes: Vec<FileScan> = outcomes
@@ -871,6 +889,9 @@ fn print_human_report(file: &str, report: &ScanReport, detector: &mut Detector, 
         );
         return;
     }
+    // One attention ranking per distinct stream: findings that share a
+    // stream would rank identically on the deterministic reference path.
+    let mut ranked: HashMap<&[String], Vec<RankedToken>> = HashMap::new();
     for f in &report.findings {
         if f.flagged {
             println!(
@@ -878,7 +899,10 @@ fn print_human_report(file: &str, report: &ScanReport, detector: &mut Detector, 
                 f.line, f.category, f.name, f.score
             );
             if top > 0 {
-                for r in top_tokens(detector, &f.tokens, top) {
+                let tops = ranked
+                    .entry(&f.tokens)
+                    .or_insert_with(|| top_tokens(detector, &f.tokens, top));
+                for r in tops.iter() {
                     println!("      attention {:>6.1}%  {}", r.percent, r.token);
                 }
             }

@@ -481,6 +481,20 @@ impl Metrics {
             w,
             "sevuldet_workspace_acquires_total{{result=\"miss\"}} {ws_misses}"
         );
+        let (computed, reused) = sevuldet::forward_counters();
+        let _ = writeln!(
+            w,
+            "# HELP sevuldet_gadget_forwards_total Gadget scores, by whether a forward pass computed them or an identical stream in the same batch supplied them (process-wide)."
+        );
+        let _ = writeln!(w, "# TYPE sevuldet_gadget_forwards_total counter");
+        let _ = writeln!(
+            w,
+            "sevuldet_gadget_forwards_total{{result=\"computed\"}} {computed}"
+        );
+        let _ = writeln!(
+            w,
+            "sevuldet_gadget_forwards_total{{result=\"reused\"}} {reused}"
+        );
         let qc = sevuldet_query::counters();
         let _ = writeln!(
             w,
@@ -646,6 +660,8 @@ mod tests {
             "sevuldet_forward_duration_seconds_count 1",
             "sevuldet_workspace_acquires_total{result=\"hit\"}",
             "sevuldet_workspace_acquires_total{result=\"miss\"}",
+            "sevuldet_gadget_forwards_total{result=\"computed\"}",
+            "sevuldet_gadget_forwards_total{result=\"reused\"}",
             "sevuldet_query_cache_hits_total{tier=\"memory\"}",
             "sevuldet_query_cache_hits_total{tier=\"disk\"}",
             "sevuldet_query_cache_hits_total{tier=\"function\"}",
