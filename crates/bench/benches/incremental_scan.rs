@@ -100,8 +100,8 @@ fn bench_incremental_scan(c: &mut Criterion) {
 
     // Warm with one touched function: 249 memo hits + one real recompute.
     // Every iteration edits the victim to a never-before-seen body, so the
-    // recompute cannot be served from the file memo — only the function
-    // tier inside it helps.
+    // recompute cannot be served from the file memo: it is one full
+    // `prepare_source` of that file.
     {
         let engine = QueryEngine::in_memory();
         prepare_all(&engine, &sources);

@@ -22,6 +22,7 @@
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The footer line prefix; the full line is
 /// `sevuldet-footer crc32=XXXXXXXX len=NNNN`.
@@ -257,7 +258,14 @@ pub fn atomic_write(path: &Path, data: &[u8]) -> io::Result<()> {
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let tmp = dir.join(format!(".{file_name}.tmp.{}", std::process::id()));
+    // Unique per call, not just per process: threads sharing one engine
+    // may save the same key at once, and must not stage into one file.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let tmp = dir.join(format!(
+        ".{file_name}.tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let staged = (|| -> io::Result<()> {
         let mut f = File::create(&tmp)?;
         let mid = data.len() / 2;
@@ -358,6 +366,37 @@ mod tests {
         atomic_write(&path, b"second version").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second version");
         // No stray temp files left behind.
+        let strays: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(strays.is_empty(), "{strays:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_to_one_path_all_succeed() {
+        let dir = std::env::temp_dir().join(format!("svd-atomic-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("entry.svdc");
+        atomic_write(&path, seal("seed\n".to_string()).as_bytes()).unwrap();
+        const WRITERS: usize = 4;
+        let start = std::sync::Barrier::new(WRITERS);
+        std::thread::scope(|scope| {
+            for t in 0..WRITERS {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..50 {
+                        let sealed = seal(format!("writer {t} round {i}\n"));
+                        atomic_write(path, sealed.as_bytes()).unwrap();
+                        let read = std::fs::read_to_string(path).unwrap();
+                        assert!(unseal(&read).is_ok(), "torn read: {read:?}");
+                    }
+                });
+            }
+        });
         let strays: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())

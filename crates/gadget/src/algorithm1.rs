@@ -24,20 +24,6 @@ pub fn build_gadget(
     slice_cfg: &SliceConfig,
 ) -> CodeGadget {
     let slice = two_way_slice(analysis, &token.func, token.node, slice_cfg);
-    build_gadget_from_slice(program, analysis, token, kind, &slice)
-}
-
-/// Assembles a gadget from an already-computed slice — the split form of
-/// [`build_gadget`] for callers that also need the slice itself (the
-/// incremental query layer records `slice.functions()` as the gadget's
-/// dependency set).
-pub fn build_gadget_from_slice(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    token: &SpecialToken,
-    kind: GadgetKind,
-    slice: &crate::slice::Slice,
-) -> CodeGadget {
     let _t = sevuldet_trace::span!("gadget.assemble");
 
     // Group slice nodes per function; one gadget line per source line

@@ -40,7 +40,7 @@ pub mod slice;
 pub mod special;
 pub mod types;
 
-pub use algorithm1::{build_gadget, build_gadget_from_slice, generate_all};
+pub use algorithm1::{build_gadget, generate_all};
 pub use label::{label_all, label_gadget};
 pub use normalize::Normalizer;
 pub use slice::{backward_slice, forward_slice, two_way_slice, Slice, SliceConfig};

@@ -1,52 +1,28 @@
 //! The demand-driven incremental engine: memoized `prepare` over the front
 //! half of the pipeline (lex → parse → CFG/PDG → Algorithm-1 slice →
-//! normalize), keyed by content hash, with salsa-style dependency-tracked
-//! reuse at function granularity.
+//! normalize), keyed by content hash.
 //!
-//! ## Three tiers, from cheapest to most general
+//! ## Two tiers, from cheapest to most general
 //!
 //! 1. **In-memory file memo** — `sha256(source)` → `Arc<PreparedSource>`.
 //!    A repeated scan of unchanged content inside one process is a clone.
 //! 2. **Persistent artifact store** — the same key, sealed on disk
 //!    ([`crate::store`]), shared across processes and with the serve
 //!    workers. Damage is silently recomputed.
-//! 3. **Function-level gadget memo** — when a *file* changes, its parse,
-//!    analysis, and special tokens are recomputed (cheap), but each
-//!    gadget's expensive slice+normalize step is reused if its recorded
-//!    dependency set still holds. A gadget's dependencies are:
 //!
-//!    * the text hash of every function its slice touched
-//!      (`slice.functions()`), seed included;
-//!    * a *call-edge signature* over every call edge incident to those
-//!      functions (catching new callers extending a backward slice and
-//!      callees gaining a definition);
-//!    * a *globals signature* over every non-function top-level item
-//!      (globals and structs feed the analysis of every function).
-//!
-//!    Any mismatch recomputes the gadget — invalidation errs conservative,
-//!    never stale. The memo is content-addressed (seed function hash +
-//!    special-token ordinal), so it survives line-shifting edits elsewhere
-//!    in the file and is even shared between files with identical
-//!    functions.
+//! A miss in both calls [`sevuldet::prepare_source`] itself, so the front
+//! half is composed in exactly one place.
 //!
 //! The engine's output contract is strict: for any input, `prepare`
 //! returns **byte-for-byte** what [`sevuldet::prepare_source`] returns —
-//! hits, misses, and partial function-level reuse are all invisible in the
-//! report. The incremental tests pin this across edit scenarios, and the
-//! fault-injection suite pins it across cache damage.
+//! hits and misses are invisible in the report. The incremental tests pin
+//! this across edit scenarios, and the fault-injection suite pins it across
+//! cache damage.
 
 use crate::stats;
 use crate::store::ArtifactStore;
-use sevuldet::integrity::sha256_hex;
-use sevuldet::par::parallel_map;
-use sevuldet::{GadgetSpec, PreparedGadget, PreparedSource, ScanError};
-use sevuldet_analysis::ProgramAnalysis;
-use sevuldet_gadget::{
-    build_gadget_from_slice, find_special_tokens, two_way_slice, Normalizer, SliceConfig,
-    SpecialToken,
-};
-use sevuldet_lang::ast::{Item, Program};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use sevuldet::{prepare_source, GadgetSpec, PreparedSource, ScanError};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -60,15 +36,10 @@ pub struct QueryConfig {
     /// Soft on-disk size budget in bytes (oldest entries evicted past it);
     /// 0 = unbounded.
     pub max_bytes: u64,
-    /// Bound on in-memory whole-file memo entries; 0 = the default (4096).
-    pub mem_entries: usize,
 }
 
-const DEFAULT_MEM_ENTRIES: usize = 4096;
-/// Bound on function-level gadget memos; the table is cleared wholesale
-/// when it fills (simple, and 64k slices is far beyond any real repo's
-/// working set).
-const GADGET_MEMO_CAP: usize = 1 << 16;
+/// Bound on in-memory whole-file memo entries (FIFO eviction past it).
+const MEM_ENTRIES: usize = 4096;
 
 /// In-memory whole-file memo with FIFO eviction.
 #[derive(Debug, Default)]
@@ -77,119 +48,15 @@ struct FileMemo {
     order: VecDeque<String>,
 }
 
-/// Identity of one memoized gadget: the seed function's text hash plus the
-/// special token's ordinal *within that function* (both stable under edits
-/// anywhere else in the file).
-type GadgetKey = (String, u32);
-
-/// One memoized slice+normalize result and the facts it depends on.
-#[derive(Debug)]
-struct GadgetMemo {
-    /// The normalized token stream (line numbers live outside it, so it is
-    /// invariant under line-shifting edits elsewhere).
-    tokens: Vec<String>,
-    /// `(function name, text hash)` for every function the slice touched.
-    deps: Vec<(String, String)>,
-    /// Signature over call edges incident to `deps` (see module docs).
-    callers_sig: String,
-    /// Signature over non-function top-level items.
-    globals_sig: String,
-}
-
-/// Per-file facts the validator compares memo dependencies against.
-struct FileFacts {
-    /// Function name → text hash (duplicate definitions fold together).
-    fn_hashes: HashMap<String, String>,
-    globals_sig: String,
-}
-
-impl FileFacts {
-    fn extract(source: &str, program: &Program) -> FileFacts {
-        let lines: Vec<&str> = source.lines().collect();
-        let span_text = |span: sevuldet_lang::span::Span| -> String {
-            let start = (span.start.line.max(1) as usize - 1).min(lines.len());
-            let end = (span.end.line as usize).min(lines.len()).max(start);
-            lines[start..end].join("\n")
-        };
-        let mut fn_hashes: HashMap<String, String> = HashMap::new();
-        let mut globals = String::new();
-        for item in &program.items {
-            match item {
-                Item::Function(f) => {
-                    let h = sha256_hex(span_text(f.span).as_bytes());
-                    // A redefined name folds both bodies into one hash, so
-                    // either definition changing invalidates dependents.
-                    fn_hashes
-                        .entry(f.name.clone())
-                        .and_modify(|prev| *prev = sha256_hex(format!("{prev}{h}").as_bytes()))
-                        .or_insert(h);
-                }
-                Item::Global(d) => {
-                    globals.push_str(&span_text(d.span));
-                    globals.push('\n');
-                }
-                Item::Struct(s) => {
-                    globals.push_str(&span_text(s.span));
-                    globals.push('\n');
-                }
-            }
-        }
-        FileFacts {
-            fn_hashes,
-            globals_sig: sha256_hex(globals.as_bytes()),
-        }
-    }
-}
-
-/// The call-edge signature for an involved-function set: every
-/// `caller→callee` edge touching the set, tagged with whether the callee
-/// is *defined* in this file (an edge into a newly-defined callee must
-/// invalidate, because the slice can now descend into it).
-fn callers_signature(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    involved: &BTreeSet<&str>,
-) -> String {
-    let mut edges: BTreeSet<String> = BTreeSet::new();
-    for site in analysis.callgraph.sites() {
-        if involved.contains(site.caller.as_str()) || involved.contains(site.callee.as_str()) {
-            let defined = program.function(&site.callee).is_some();
-            edges.insert(format!("{}>{}:{}", site.caller, site.callee, defined as u8));
-        }
-    }
-    let joined: String = edges.into_iter().map(|e| e + "\n").collect();
-    sha256_hex(joined.as_bytes())
-}
-
-impl GadgetMemo {
-    /// Whether this memo is still valid under the current file facts.
-    fn valid_for(&self, facts: &FileFacts, program: &Program, analysis: &ProgramAnalysis) -> bool {
-        if self.globals_sig != facts.globals_sig {
-            return false;
-        }
-        for (name, hash) in &self.deps {
-            if facts.fn_hashes.get(name) != Some(hash) {
-                return false;
-            }
-        }
-        let involved: BTreeSet<&str> = self.deps.iter().map(|(n, _)| n.as_str()).collect();
-        self.callers_sig == callers_signature(program, analysis, &involved)
-    }
-}
-
-/// The incremental query engine. `&self` methods only — internal state
-/// lives behind mutexes, so one engine can be shared by every serve worker
+/// The incremental query engine. `&self` methods only — the memo lives
+/// behind a mutex, so one engine can be shared by every serve worker
 /// (an `Arc<QueryEngine>`), with the expensive compute path running outside
-/// any lock.
+/// the lock.
 #[derive(Debug)]
 pub struct QueryEngine {
-    spec: GadgetSpec,
-    slice_cfg: SliceConfig,
     fingerprint: String,
     store: Option<ArtifactStore>,
-    mem_entries: usize,
     files: Mutex<FileMemo>,
-    gadgets: Mutex<HashMap<GadgetKey, Arc<GadgetMemo>>>,
 }
 
 impl QueryEngine {
@@ -215,17 +82,9 @@ impl QueryEngine {
             None => None,
         };
         Ok(QueryEngine {
-            spec,
-            slice_cfg,
             fingerprint,
             store,
-            mem_entries: if config.mem_entries == 0 {
-                DEFAULT_MEM_ENTRIES
-            } else {
-                config.mem_entries
-            },
             files: Mutex::new(FileMemo::default()),
-            gadgets: Mutex::new(HashMap::new()),
         })
     }
 
@@ -275,7 +134,7 @@ impl QueryEngine {
         }
         stats::miss();
         sevuldet_trace::counter("query.cache.miss", 1.0);
-        let prepared = self.compute(source, jobs)?;
+        let prepared = prepare_source(source, jobs)?;
         if let Some(store) = &self.store {
             store.save(&key, &self.fingerprint, source, &prepared);
         }
@@ -289,7 +148,7 @@ impl QueryEngine {
         if memo.map.contains_key(&key) {
             return;
         }
-        while memo.map.len() >= self.mem_entries {
+        while memo.map.len() >= MEM_ENTRIES {
             match memo.order.pop_front() {
                 Some(old) => {
                     if memo.map.remove(&old).is_some() {
@@ -301,136 +160,5 @@ impl QueryEngine {
         }
         memo.order.push_back(key.clone());
         memo.map.insert(key, Arc::new(prepared.clone()));
-    }
-
-    /// The recompute path: parse, analyze, and find special tokens fresh,
-    /// then build each gadget — reusing any function-level memo whose
-    /// dependency set still holds, slicing only what actually changed.
-    fn compute(&self, source: &str, jobs: usize) -> Result<PreparedSource, ScanError> {
-        // Same stage span as `prepare_source`, so per-stage dashboards and
-        // `--profile` keep one name for "prepare cost" either way.
-        let _t = sevuldet_trace::span!("scan.prepare");
-        let program = sevuldet_lang::parse(source).map_err(|e| ScanError::Parse(e.to_string()))?;
-        let analysis = ProgramAnalysis::analyze(&program);
-        let specials = find_special_tokens(&program, &analysis);
-        let facts = FileFacts::extract(source, &program);
-        let ordinals = per_function_ordinals(&specials);
-
-        // Partition into memo-served and to-be-sliced, preserving order.
-        let mut gadgets: Vec<Option<PreparedGadget>> = Vec::with_capacity(specials.len());
-        gadgets.resize_with(specials.len(), || None);
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let memo = self.gadgets.lock().unwrap_or_else(|e| e.into_inner());
-            for (i, st) in specials.iter().enumerate() {
-                let reused = facts.fn_hashes.get(&st.func).and_then(|seed_hash| {
-                    let m = memo.get(&(seed_hash.clone(), ordinals[i]))?;
-                    m.valid_for(&facts, &program, &analysis)
-                        .then(|| m.tokens.clone())
-                });
-                match reused {
-                    Some(tokens) => {
-                        stats::hit_func();
-                        gadgets[i] = Some(PreparedGadget {
-                            line: st.line,
-                            category: st.category.abbrev(),
-                            name: st.name.clone(),
-                            tokens,
-                        });
-                    }
-                    None => missing.push(i),
-                }
-            }
-        }
-
-        // Slice + assemble + normalize the rest, sharded like
-        // `prepare_source` (parallel_map preserves order).
-        let computed = parallel_map(&missing, jobs, |_, &i| {
-            let st = &specials[i];
-            let slice = two_way_slice(&analysis, &st.func, st.node, &self.slice_cfg);
-            let gadget = build_gadget_from_slice(&program, &analysis, st, self.spec.kind, &slice);
-            let tokens = Normalizer::normalize_gadget(&gadget).tokens();
-            let deps: Vec<(String, String)> = slice
-                .functions()
-                .iter()
-                .chain(std::iter::once(&st.func))
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .map(|f| {
-                    let hash = facts.fn_hashes.get(f).cloned().unwrap_or_default();
-                    (f.clone(), hash)
-                })
-                .collect();
-            let involved: BTreeSet<&str> = deps.iter().map(|(n, _)| n.as_str()).collect();
-            let callers_sig = callers_signature(&program, &analysis, &involved);
-            let memo = GadgetMemo {
-                tokens: tokens.clone(),
-                deps,
-                callers_sig,
-                globals_sig: facts.globals_sig.clone(),
-            };
-            let prepared = PreparedGadget {
-                line: st.line,
-                category: st.category.abbrev(),
-                name: st.name.clone(),
-                tokens,
-            };
-            (prepared, memo)
-        });
-
-        {
-            let mut memo = self.gadgets.lock().unwrap_or_else(|e| e.into_inner());
-            if memo.len() + computed.len() > GADGET_MEMO_CAP {
-                stats::evicted(memo.len() as u64);
-                memo.clear();
-            }
-            for (&i, (prepared, m)) in missing.iter().zip(computed) {
-                let st = &specials[i];
-                if let Some(seed_hash) = facts.fn_hashes.get(&st.func) {
-                    memo.insert((seed_hash.clone(), ordinals[i]), Arc::new(m));
-                }
-                gadgets[i] = Some(prepared);
-            }
-        }
-
-        let gadgets: Vec<PreparedGadget> = gadgets
-            .into_iter()
-            .map(|g| g.expect("every special token produced a gadget"))
-            .collect();
-        sevuldet_trace::counter("scan.gadgets", gadgets.len() as f64);
-        Ok(PreparedSource { gadgets })
-    }
-}
-
-/// For each special token, its 0-based ordinal among the specials of the
-/// *same function* — the stable half of a gadget memo key.
-fn per_function_ordinals(specials: &[SpecialToken]) -> Vec<u32> {
-    let mut seen: HashMap<&str, u32> = HashMap::new();
-    specials
-        .iter()
-        .map(|st| {
-            let n = seen.entry(st.func.as_str()).or_insert(0);
-            let ord = *n;
-            *n += 1;
-            ord
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ordinals_are_per_function() {
-        let st = |func: &str| SpecialToken {
-            category: sevuldet_gadget::Category::Fc,
-            func: func.into(),
-            node: sevuldet_analysis::NodeId(0),
-            line: 1,
-            name: "x".into(),
-        };
-        let specials = vec![st("a"), st("a"), st("b"), st("a"), st("b")];
-        assert_eq!(per_function_ordinals(&specials), vec![0, 1, 0, 2, 1]);
     }
 }

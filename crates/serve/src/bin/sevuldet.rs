@@ -603,7 +603,6 @@ fn scan_engine(args: &[String]) -> Result<Option<QueryEngine>, CliError> {
     let config = QueryConfig {
         cache_dir: Some(dir.clone()),
         max_bytes,
-        ..QueryConfig::default()
     };
     QueryEngine::open(&config)
         .map(Some)
@@ -614,11 +613,10 @@ fn scan_engine(args: &[String]) -> Result<Option<QueryEngine>, CliError> {
 fn profile_cache_summary() {
     let c = sevuldet_query::counters();
     eprintln!(
-        "cache: {} hit(s) ({} mem, {} disk, {} fn-reuse), {} miss(es), {} eviction(s), {} bytes on disk",
+        "cache: {} hit(s) ({} mem, {} disk), {} miss(es), {} eviction(s), {} bytes on disk",
         c.hits(),
         c.hits_mem,
         c.hits_disk,
-        c.hits_func,
         c.misses,
         c.evictions,
         c.size_bytes

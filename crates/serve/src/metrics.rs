@@ -513,11 +513,6 @@ impl Metrics {
         );
         let _ = writeln!(
             w,
-            "sevuldet_query_cache_hits_total{{tier=\"function\"}} {}",
-            qc.hits_func
-        );
-        let _ = writeln!(
-            w,
             "# HELP sevuldet_query_cache_misses_total Incremental-query cache misses (full recomputes, process-wide)."
         );
         let _ = writeln!(w, "# TYPE sevuldet_query_cache_misses_total counter");
@@ -664,7 +659,6 @@ mod tests {
             "sevuldet_gadget_forwards_total{result=\"reused\"}",
             "sevuldet_query_cache_hits_total{tier=\"memory\"}",
             "sevuldet_query_cache_hits_total{tier=\"disk\"}",
-            "sevuldet_query_cache_hits_total{tier=\"function\"}",
             "sevuldet_query_cache_misses_total",
             "sevuldet_query_cache_evictions_total",
             "sevuldet_cache_size_bytes",

@@ -197,7 +197,6 @@ pub fn start(
     let engine = Arc::new(QueryEngine::open(&QueryConfig {
         cache_dir: cfg.cache_dir.clone(),
         max_bytes: cfg.cache_max_bytes,
-        ..QueryConfig::default()
     })?);
 
     let metrics = Arc::new(Metrics::default());
